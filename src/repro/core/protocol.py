@@ -145,6 +145,7 @@ class _Execution:
             derived = query_ranges_for_pool(self.query, pool.index)
             destinations: dict[int, None] = {}
             holders_events: dict[int, list[Event]] = {}
+            pick = self.query.selector()
             for ho, vo in offsets:
                 cell = pool.cell_at(ho, vo)
                 store = self.system._stores.get((pool.index, ho, vo))
@@ -153,10 +154,9 @@ class _Execution:
                     continue
                 for segment in store.segments_overlapping(derived.vertical):
                     destinations.setdefault(segment.node)
-                    bucket = holders_events.setdefault(segment.node, [])
-                    for event in segment.events:
-                        if self.query.matches(event):
-                            bucket.append(event)
+                    holders_events.setdefault(segment.node, []).extend(
+                        pick(segment.events)
+                    )
             splitter = self.system.splitter(self.sink, pool.index)
             self._launch_pool(splitter, list(destinations), holders_events)
 

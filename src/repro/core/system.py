@@ -40,7 +40,7 @@ from repro.exceptions import (
     DimensionMismatchError,
     UnreachableError,
 )
-from repro.exec import Execution, QueryPlan, run_staged
+from repro.exec import Execution, QueryPlan, check_query_dimensions, run_staged
 from repro.geometry import distance_sq
 from repro.ght.ght import GeographicHashTable
 from repro.network.messages import MessageCategory
@@ -607,6 +607,7 @@ class PoolSystem:
         holders (ordered-deduplicated) the splitter tree must reach —
         everything the sink computes locally before any radio traffic.
         """
+        check_query_dimensions(self.dimensions, query)
         tel = self.network.telemetry
         legs: list[PoolLegPlan] = []
         for pool in self.pools:
@@ -707,7 +708,7 @@ class PoolSystem:
         shared execution each fold their own cell set.  A holder whose
         reply never reached the sink contributes nothing.
         """
-        query: RangeQuery = plan.query
+        pick = plan.query.selector()
         detail = PoolQueryDetail()
         events: list[Event] = []
         visited: list[int] = []
@@ -742,11 +743,8 @@ class PoolSystem:
                 if store is None:
                     continue
                 for segment in store.segments_overlapping(leg.vertical):
-                    if segment.node not in leg_exec.answered:
-                        continue
-                    for event in segment.events:
-                        if query.matches(event):
-                            events.append(event)
+                    if segment.node in leg_exec.answered:
+                        events += pick(segment.events)
         return resolve_result(
             events=events,
             forward_cost=execution.forward_cost,

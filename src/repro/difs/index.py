@@ -37,7 +37,7 @@ from repro.exceptions import (
     DimensionMismatchError,
     UnreachableError,
 )
-from repro.exec import Execution, QueryPlan, run_staged
+from repro.exec import Execution, QueryPlan, check_query_dimensions, run_staged
 from repro.ght.ght import GeographicHashTable
 from repro.network.messages import MessageCategory
 from repro.network.network import Network
@@ -262,6 +262,7 @@ class DifsIndex:
 
     def plan_query(self, sink: int, query: RangeQuery) -> QueryPlan:
         """Pure resolving: canonical decomposition at the sink, zero messages."""
+        check_query_dimensions(self.dimensions, query)
         lo, hi = query.bounds[self.attribute]
         ranges = self.canonical_ranges(lo, hi)
         # Visit the leaf nodes under every canonical range (data lives at
@@ -366,13 +367,14 @@ class DifsIndex:
         self, leaf_ranges: list[_IndexRange], query: RangeQuery
     ) -> tuple[list[Event], int]:
         """Retrieve and post-filter matches held under ``leaf_ranges``."""
+        pick = query.selector()
         events: list[Event] = []
         fetched = 0
         for leaf in leaf_ranges:
-            for event in self._storage.get((leaf.lo, leaf.hi), ()):
-                fetched += 1
-                if query.matches(event):
-                    events.append(event)
+            bucket = self._storage.get((leaf.lo, leaf.hi))
+            if bucket:
+                fetched += len(bucket)
+                events += pick(bucket)
         return events, fetched
 
     def _leaves_under(self, node: _IndexRange) -> list[_IndexRange]:

@@ -253,11 +253,12 @@ class DimIndex:
     # ------------------------------------------------------------------ #
 
     def _collect(self, zones: list[Zone], query: RangeQuery) -> list[Event]:
+        pick = query.selector()
         matches: list[Event] = []
         for zone in zones:
-            for event in self._storage.get(zone.code, ()):
-                if query.matches(event):
-                    matches.append(event)
+            bucket = self._storage.get(zone.code)
+            if bucket:
+                matches += pick(bucket)
         return matches
 
     @property

@@ -245,22 +245,37 @@ class ZoneTree:
         hyper-rectangle.  The number of returned zones grows with network
         size for a fixed query — the scalability weakness the paper's
         Figure 6 demonstrates.
+
+        Only the root's box is tested in full.  A child's box differs from
+        its overlapping parent's only in the split dimension
+        ``depth mod k``, where the parent's ``[lo, hi]`` is cut at ``mid``:
+        the low child ``[lo, mid]`` still meets the query iff
+        ``q_lo <= mid``, the high child ``[mid, hi]`` iff ``mid <= q_hi``.
+        Leaves come out in code order: the descent is depth-first, low
+        child first, and codes are prefix-free.
         """
         if query.dimensions != self.dimensions:
             raise DimensionMismatchError(self.dimensions, query.dimensions, "query")
+        if not self.root.overlaps(query):
+            return []
+        bounds = query.bounds
+        k = self.dimensions
         result: list[Zone] = []
         stack = [self.root]
         while stack:
             zone = stack.pop()
-            if not zone.overlaps(query):
-                continue
-            if zone.is_leaf:
+            low = zone.low
+            if low is None:
                 result.append(zone)
-            else:
-                assert zone.low is not None and zone.high is not None
+                continue
+            dim = len(zone.code) % k
+            mid = low.value_box[dim][1]
+            q_lo, q_hi = bounds[dim]
+            if mid <= q_hi:
+                assert zone.high is not None
                 stack.append(zone.high)
-                stack.append(zone.low)
-        result.sort(key=lambda z: z.code)
+            if q_lo <= mid:
+                stack.append(low)
         return result
 
     def iter_zones(self) -> Iterator[Zone]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.events.event import Event
 from repro.exceptions import DimensionMismatchError, ValidationError
@@ -196,9 +196,72 @@ class RangeQuery:
             raise DimensionMismatchError(len(self.bounds), len(values), "event")
         return all(lo <= v <= hi for v, (lo, hi) in zip(values, self.bounds))
 
+    def selector(self) -> Callable[[Iterable[Event]], list[Event]]:
+        """A compiled predicate: ``pick(bucket)`` keeps the bucket's matches.
+
+        ``pick(bucket) == [e for e in bucket if self.matches(e)]``, in the
+        bucket's order, for any events of this query's dimensionality.
+        Built once per fold, it filters a whole storage bucket in list
+        comprehensions instead of calling :meth:`matches` per event.
+
+        Only the specified ``(dim, lo, hi)`` tests are kept: a
+        :data:`FULL_RANGE` bound holds for every event, because
+        :class:`Event` already rejects values outside ``[0, 1]`` (NaN
+        included).  The tests run narrowest range first.  Two or three
+        tests are chained in one comprehension; any other number runs one
+        pass per test, each over the survivors of the one before.
+
+        Dimensionality is NOT checked here; the caller must check the
+        query against its system (:func:`repro.exec.check_query_dimensions`)
+        before folding; every system already checks each event on insert.
+        """
+        tests = sorted(
+            (hi - lo, dim, lo, hi)
+            for dim, (lo, hi) in enumerate(self.bounds)
+            if (lo, hi) != FULL_RANGE
+        )
+        if not tests:
+            return list
+        if len(tests) == 2:
+            (_, a, a_lo, a_hi), (_, b, b_lo, b_hi) = tests
+
+            def pick(bucket: Iterable[Event]) -> list[Event]:
+                return [
+                    e
+                    for e in bucket
+                    if a_lo <= (v := e.values)[a] <= a_hi and b_lo <= v[b] <= b_hi
+                ]
+
+        elif len(tests) == 3:
+            (_, a, a_lo, a_hi), (_, b, b_lo, b_hi), (_, c, c_lo, c_hi) = tests
+
+            def pick(bucket: Iterable[Event]) -> list[Event]:
+                return [
+                    e
+                    for e in bucket
+                    if a_lo <= (v := e.values)[a] <= a_hi
+                    and b_lo <= v[b] <= b_hi
+                    and c_lo <= v[c] <= c_hi
+                ]
+
+        else:
+            (_, first, first_lo, first_hi), *rest = tests
+
+            def pick(bucket: Iterable[Event]) -> list[Event]:
+                kept = [e for e in bucket if first_lo <= e.values[first] <= first_hi]
+                for _, dim, lo, hi in rest:
+                    kept = [e for e in kept if lo <= e.values[dim] <= hi]
+                return kept
+
+        return pick
+
     def filter(self, events: Sequence[Event]) -> list[Event]:
-        """All events in ``events`` matching this query (brute force)."""
-        return [event for event in events if self.matches(event)]
+        """All events in ``events`` matching this query (brute force).
+
+        Like :meth:`selector`, it does not check dimensionality: every
+        event must have this query's number of dimensions.
+        """
+        return self.selector()(events)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts: list[str] = []

@@ -15,7 +15,7 @@ is apples-to-apples (see DESIGN.md §5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.routing.gpsr import GPSRRouter
@@ -38,6 +38,9 @@ class MulticastTree:
     root: int
     destinations: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
+    _depths: dict[int, int] | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     @property
     def forward_cost(self) -> int:
@@ -60,11 +63,7 @@ class MulticastTree:
 
     def nodes(self) -> set[int]:
         """All node ids touched by the tree (including the root)."""
-        touched = {self.root}
-        for parent, child in self.edges:
-            touched.add(parent)
-            touched.add(child)
-        return touched
+        return set(self.depths())
 
     def children(self) -> dict[int, list[int]]:
         """Adjacency (parent → sorted children) for traversals/tests."""
@@ -75,33 +74,38 @@ class MulticastTree:
             kids.sort()
         return table
 
+    def depths(self) -> dict[int, int]:
+        """Hop distance from the root of every tree node.
+
+        Computed once, level by level from the root, and kept: the tree
+        never changes after it is built.  The map is shared between
+        calls; do not modify it.
+        """
+        if self._depths is None:
+            kids: dict[int, list[int]] = {}
+            for parent, child in self.edges:
+                kids.setdefault(parent, []).append(child)
+            depths = {self.root: 0}
+            level = [self.root]
+            while level:
+                below: list[int] = []
+                for node in level:
+                    for child in kids.get(node, ()):
+                        if child not in depths:
+                            depths[child] = depths[node] + 1
+                            below.append(child)
+                level = below
+            self._depths = depths
+        return self._depths
+
     def height(self) -> int:
         """Hop depth of the deepest destination — the dissemination
         latency critical path (in hops) of this tree."""
-        if not self.edges:
-            return 0
-        parents = {child: parent for parent, child in self.edges}
-        best = 0
-        for node in parents:
-            depth = 0
-            current = node
-            while current != self.root:
-                current = parents[current]
-                depth += 1
-            best = max(best, depth)
-        return best
+        return max(self.depths().values())
 
     def depth_of(self, node: int) -> int:
         """Hop distance from the root to ``node`` along tree edges."""
-        if node == self.root:
-            return 0
-        parents = {child: parent for parent, child in self.edges}
-        depth = 0
-        current = node
-        while current != self.root:
-            current = parents[current]
-            depth += 1
-        return depth
+        return self.depths()[node]
 
 
 @dataclass(slots=True)
@@ -154,7 +158,7 @@ class TreeBuilder:
         self.root = root
         self.recorder = recorder
         self._edges: set[tuple[int, int]] = set()
-        self._destinations: list[int] = []
+        self._destinations: dict[int, None] = {}
         self._reached: set[int] = {root}
 
     def add_destination(self, node: int) -> None:
@@ -164,25 +168,26 @@ class TreeBuilder:
         at the first node already in the tree, so shared prefixes are never
         re-added and the structure stays a tree (each node has one parent).
         """
-        if node in self._reached:
-            if node not in self._destinations:
-                self._destinations.append(node)
+        reached = self._reached
+        if node in reached:
+            self._destinations.setdefault(node)
             return
         # Route planning, not a send: the grafted edges are charged in
         # bulk when the finished tree is disseminated.
         path = self.router.path(self.root, node)  # repro-lint: ignore[REP101]
-        # Find the deepest path node already in the tree; splice from there.
-        splice_index = 0
-        for index, hop in enumerate(path):
-            if hop in self._reached:
-                splice_index = index
+        # Splice from the deepest path node already in the tree: walking
+        # back from the destination, the first one found.  ``path[0]`` is
+        # the root, so the walk always stops.
+        splice_index = len(path) - 1
+        while path[splice_index] not in reached:
+            splice_index -= 1
         for parent, child in zip(path[splice_index:], path[splice_index + 1 :]):
-            if child in self._reached:
+            if child in reached:
                 # The path re-enters the tree; keep the existing parent.
                 continue
             self._edges.add((parent, child))
-            self._reached.add(child)
-        self._destinations.append(node)
+            reached.add(child)
+        self._destinations[node] = None
 
     def add_destinations(self, nodes: list[int]) -> None:
         """Graft several destinations (deterministic order).

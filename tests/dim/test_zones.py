@@ -155,3 +155,35 @@ def _shared_tree() -> ZoneTree:
     if _cached_tree is None:
         _cached_tree = ZoneTree(deploy_uniform(120, seed=3), dimensions=3)
     return _cached_tree
+
+
+#: Dyadic values land exactly on zone split points (closed-bound edges).
+split_or_unit = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]) | unit
+
+
+@st.composite
+def tree_and_query(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    topology = deploy_uniform(
+        draw(st.integers(min_value=1, max_value=150)),
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+        require_connected=False,
+    )
+    bounds = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            bounds.append((0.0, 1.0))
+        else:
+            bounds.append(tuple(sorted((draw(split_or_unit), draw(split_or_unit)))))
+    return ZoneTree(topology, k), RangeQuery(tuple(bounds))
+
+
+class TestSplitDimensionDescent:
+    @given(tree_and_query())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_full_overlap_scan(self, case):
+        tree, query = case
+        expected = sorted(
+            (z for z in tree.leaves if z.overlaps(query)), key=lambda z: z.code
+        )
+        assert list(map(id, tree.zones_for_query(query))) == list(map(id, expected))

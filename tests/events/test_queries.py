@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.events.event import Event
@@ -146,3 +146,69 @@ class TestProperties:
     def test_repr_shows_dont_care(self):
         q = RangeQuery.partial(2, {0: (0.1, 0.2)})
         assert "*" in repr(q)
+
+
+#: Values that sit exactly on typical bounds, mixed with arbitrary ones.
+edge_or_unit = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | unit
+
+
+@st.composite
+def bounds_of(draw, k):
+    """A k-dimensional query mixing points, ranges and don't-cares."""
+    bounds = []
+    for _ in range(k):
+        shape = draw(st.sampled_from(["full", "point", "range"]))
+        if shape == "full":
+            bounds.append(FULL_RANGE)
+        elif shape == "point":
+            value = draw(edge_or_unit)
+            bounds.append((value, value))
+        else:
+            lo, hi = sorted((draw(edge_or_unit), draw(edge_or_unit)))
+            bounds.append((lo, hi))
+    return RangeQuery(tuple(bounds))
+
+
+@st.composite
+def query_and_bucket(draw):
+    k = draw(st.integers(min_value=1, max_value=5))
+    query = draw(bounds_of(k))
+    # Event values are drawn from the query's own bounds too, so many
+    # events sit exactly on an ``lo`` or ``hi``.
+    on_bounds = st.sampled_from([v for bound in query.bounds for v in bound])
+    bucket = draw(
+        st.lists(
+            st.tuples(*[on_bounds | edge_or_unit for _ in range(k)]).map(Event),
+            max_size=30,
+        )
+    )
+    return query, bucket
+
+
+class TestSelector:
+    @given(query_and_bucket())
+    @settings(max_examples=300)
+    def test_equals_matches_in_bucket_order(self, case):
+        query, bucket = case
+        expected = [e for e in bucket if query.matches(e)]
+        # Identity, not equality: equal-valued events must keep their order.
+        assert list(map(id, query.selector()(bucket))) == list(map(id, expected))
+
+    @given(st.integers(min_value=1, max_value=5), st.data())
+    def test_all_full_range_keeps_everything(self, k, data):
+        query = RangeQuery.partial(k, {})
+        bucket = data.draw(
+            st.lists(st.tuples(*[edge_or_unit] * k).map(Event), max_size=10)
+        )
+        kept = query.selector()(bucket)
+        assert kept == bucket
+        assert kept is not bucket
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_empty_bucket(self, k):
+        assert RangeQuery.point(*[0.5] * k).selector()([]) == []
+
+    def test_closed_bounds_at_zero_and_one(self):
+        low_edge = Event.of(0.0, 1.0, 0.0)
+        query = RangeQuery.of((0.0, 0.0), (1.0, 1.0), (0.0, 0.5))
+        assert query.selector()([low_edge]) == [low_edge]

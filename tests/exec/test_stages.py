@@ -102,6 +102,20 @@ class TestStagedComposition:
             run_staged(loaded_system, 0, RangeQuery.partial(2, {}))
         assert all(v == 0 for v in stats.delta(before).values())
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            RangeQuery.partial(2, {}),
+            RangeQuery.partial(2, {0: (0.2, 0.6)}),
+            RangeQuery.partial(4, {3: (0.2, 0.6)}),
+        ],
+    )
+    def test_plan_rejects_wrong_dimensionality(self, loaded_system, query):
+        """The staged API checks k once per query, at planning: the fold's
+        compiled selector does not check each event."""
+        with pytest.raises(DimensionMismatchError):
+            loaded_system.plan_query(0, query)
+
 
 class TestInsertListeners:
     def test_listener_cell_is_plan_native(self, net300):

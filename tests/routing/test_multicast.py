@@ -6,7 +6,7 @@ import pytest
 
 from repro.network.topology import deploy_uniform
 from repro.routing.gpsr import GPSRRouter
-from repro.routing.multicast import TreeBuilder
+from repro.routing.multicast import MulticastTree, TreeBuilder
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +102,74 @@ class TestDepth:
     def test_depth_of_destination_matches_path(self, router):
         tree = _build(router, 3, [50])
         assert tree.depth_of(50) == router.hops(3, 50)
+
+    def test_edgeless_tree(self):
+        tree = MulticastTree(root=4, destinations=(), edges=frozenset())
+        assert tree.height() == 0
+        assert tree.depth_of(4) == 0
+
+    def test_depths_are_not_an_input(self):
+        with pytest.raises(TypeError):
+            MulticastTree(0, (), frozenset(), {0: 5})
+        with pytest.raises(TypeError):
+            MulticastTree(root=0, destinations=(), edges=frozenset(), _depths={0: 5})
+
+
+class _StubRouter:
+    """Serves fixed paths, including perimeter-style revisits of a node."""
+
+    def __init__(self, paths):
+        self.paths = paths
+
+    def prefetch(self, root, destinations):
+        pass
+
+    def path(self, source, target):
+        return self.paths[target]
+
+
+def _forward_scan_edges(root, paths, destinations):
+    """The splice as a forward scan for the last path node in the tree."""
+    edges, reached = set(), {root}
+    for node in destinations:
+        if node in reached:
+            continue
+        path = paths[node]
+        splice_index = max(i for i, hop in enumerate(path) if hop in reached)
+        for parent, child in zip(path[splice_index:], path[splice_index + 1 :]):
+            if child not in reached:
+                edges.add((parent, child))
+                reached.add(child)
+    return frozenset(edges)
+
+
+class TestSplice:
+    PATHS = {
+        # 0 -> 1 -> 2 -> 3, back to 2 (a perimeter detour), then on to 5.
+        5: [0, 1, 2, 3, 2, 5],
+        # Shares 0-1-2 and revisits 3 after leaving it.
+        7: [0, 1, 2, 3, 6, 3, 7],
+        # Re-enters the tree at 1 after a detour through new node 8.
+        9: [0, 8, 1, 9],
+        # Revisits the root itself.
+        4: [0, 10, 0, 1, 4],
+        3: [0, 1, 2, 3],
+    }
+
+    @pytest.mark.parametrize(
+        "order", [[5, 7, 9, 4, 3], [3, 9, 4, 7, 5], [4, 5, 3, 7, 9]]
+    )
+    def test_backward_walk_matches_forward_scan(self, order):
+        builder = TreeBuilder(_StubRouter(self.PATHS), 0)
+        builder.add_destinations(order)
+        tree = builder.build()
+        assert tree.edges == _forward_scan_edges(0, self.PATHS, order)
+        children = [child for _, child in tree.edges]
+        assert len(children) == len(set(children)), "a node got two parents"
+
+    def test_revisited_node_keeps_first_parent(self):
+        builder = TreeBuilder(_StubRouter(self.PATHS), 0)
+        builder.add_destination(5)
+        assert builder.build().edges == frozenset(
+            {(0, 1), (1, 2), (2, 3), (2, 5)}
+        )

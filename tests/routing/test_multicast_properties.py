@@ -127,3 +127,28 @@ class TestTreeInvariants:
         hops = router.hops(root, destination) if destination != root else 0
         assert tree.height() == hops
         assert tree.forward_cost == hops
+
+
+def _naive_depth(tree, node):
+    """Walk ``node`` up to the root along its parent edges."""
+    parents = {child: parent for parent, child in tree.edges}
+    depth = 0
+    while node != tree.root:
+        node = parents[node]
+        depth += 1
+    return depth
+
+
+class TestDepths:
+    @given(roots, destination_sets)
+    @settings(max_examples=60, deadline=None)
+    def test_depths_match_walk_to_root(self, root, destinations):
+        _, router = _env()
+        builder = TreeBuilder(router, root)
+        builder.add_destinations(destinations)
+        tree = builder.build()
+        naive = {node: _naive_depth(tree, node) for node in tree.nodes()}
+        assert tree.depths() == naive
+        assert tree.nodes() == {root} | {node for edge in tree.edges for node in edge}
+        assert all(tree.depth_of(node) == d for node, d in naive.items())
+        assert tree.height() == max(naive.values())
